@@ -141,23 +141,16 @@ $1 == "pkg:" { pkg = $2; next }
     }
     if (name == "BenchmarkLocdbDelta/mem") memns = ns
     if (name == "BenchmarkLocdbDelta/durable") durns = ns
-    if (name == "BenchmarkLocdbDelta/journal") jns = ns
     if (name == "BenchmarkIngestDelta/single")  singlens = ns
     if (name == "BenchmarkIngestDelta/batched") batchns = ns
 }
 END {
     printf "\n  }"
     if (memns != "" && durns != "") {
-        # Saturation overhead: total CPU per delta with the async
-        # group-commit work charged to the issuing core (worst case,
-        # see docs/OPERATIONS.md 4.3 for single-core interpretation).
+        # Saturation overhead: total CPU per delta from one writer,
+        # every delta paying its own group commit (worst case, see
+        # docs/OPERATIONS.md 4.3).
         printf ",\n  \"locdb_delta_overhead_pct\": %.1f", (durns - memns) * 100.0 / memns
-    }
-    if (memns != "" && jns != "") {
-        # Foreground overhead: the in-shard-lock journal append alone —
-        # the latency a delta caller actually blocks on. This is the
-        # PR 4 acceptance metric (bar: <= 20).
-        printf ",\n  \"locdb_delta_foreground_overhead_pct\": %.1f", jns * 100.0 / memns
     }
     printf "\n}\n"
 

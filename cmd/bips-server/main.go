@@ -104,7 +104,6 @@ func run(args []string) error {
 	dataDir := fs.String("data-dir", "", "durable storage directory (empty: in-memory only, state is lost on restart)")
 	snapInterval := fs.Duration("snapshot-interval", storage.DefaultSnapshotInterval, "checkpoint period for -data-dir")
 	historyLimit := fs.Int("history-limit", locdb.DefaultHistoryLimit, "per-device movement-history bound (0 disables at/trajectory queries)")
-	walFlush := fs.Duration("wal-flush", storage.DefaultFlushInterval, "WAL group-commit interval for -data-dir (the crash-loss window)")
 	analyticsSeal := fs.Duration("analytics-seal", 0, "analytics segment-seal period (0: the 30s default; negative: seal only at shutdown)")
 	analyticsRetention := fs.Duration("analytics-retention", 0, "analytics history retention in simulated time (0: keep everything)")
 	eventBuffer := fs.Int("event-buffer", server.DefaultEventBuffer, "per-connection push-event buffer (queued events before drops)")
@@ -162,7 +161,7 @@ func run(args []string) error {
 		log.Printf("registered %d loadgen users", *loadgenUsers)
 	}
 
-	db, closeStore, err := openStore(*dataDir, *shards, *historyLimit, *snapInterval, *walFlush)
+	db, closeStore, err := openStore(*dataDir, *shards, *historyLimit, *snapInterval)
 	if err != nil {
 		return err
 	}
@@ -254,7 +253,7 @@ func openAnalytics(dataDir string, historyLimit int, seal, retention time.Durati
 // openStore builds the location backend: durable when dataDir is set,
 // in-memory otherwise. The returned closer flushes and checkpoints the
 // durable backend (a no-op for the memory one).
-func openStore(dataDir string, shards, historyLimit int, snapInterval, walFlush time.Duration) (locdb.Store, func() error, error) {
+func openStore(dataDir string, shards, historyLimit int, snapInterval time.Duration) (locdb.Store, func() error, error) {
 	if dataDir == "" {
 		if historyLimit < 0 {
 			historyLimit = 0
@@ -273,7 +272,6 @@ func openStore(dataDir string, shards, historyLimit int, snapInterval, walFlush 
 		Shards:           shards,
 		HistoryLimit:     historyLimit,
 		SnapshotInterval: snapInterval,
-		FlushInterval:    walFlush,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -45,7 +45,6 @@ func spawnServer(t *testing.T, dataDir string) (string, *exec.Cmd) {
 		"-listen", "127.0.0.1:0",
 		"-data-dir", dataDir,
 		"-addr-file", addrFile,
-		"-wal-flush", "2ms",
 		"-snapshot-interval", "150ms",
 		"-user", "alice:pw",
 		"-user", "bob:pw",
@@ -196,8 +195,9 @@ func TestKillAndRestartRecoversState(t *testing.T) {
 		}
 	}()
 
-	// Let several WAL group commits (and likely a checkpoint) pass so
-	// the settled state is durable, then kill without warning.
+	// Each settled call committed its delta before it returned; let the
+	// churn run through many commits (and likely a checkpoint), then
+	// kill without warning.
 	time.Sleep(400 * time.Millisecond)
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)

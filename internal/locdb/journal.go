@@ -23,7 +23,7 @@ const (
 //
 // Record must be fast and must not call back into the DB (the shard
 // lock is held). Implementations typically append to a per-shard buffer
-// that a background flusher drains through WithShard/CheckpointShard.
+// that a later commit drains through WithShard/CheckpointShard.
 type Journal interface {
 	Record(shard int, op JournalOp, dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick)
 }
@@ -34,7 +34,7 @@ type Journal interface {
 func (db *DB) SetJournal(j Journal) { db.journal = j }
 
 // WithShard runs fn while holding shard i's write lock. A journal's
-// flusher uses it to drain the per-shard record buffer in a critical
+// commit uses it to drain the per-shard record buffer in a critical
 // section ordered against every mutation of that shard.
 func (db *DB) WithShard(i int, fn func()) {
 	sh := db.shards[i]

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"testing"
-	"time"
 
 	"bips/internal/baseband"
 	"bips/internal/graph"
@@ -15,15 +14,14 @@ import (
 // against the two storage backends: the in-memory-only store and the
 // durable store (history + group-committed WAL).
 //
-// ns/op here is the saturation throughput cost: the loop issues real
-// moves as fast as the store absorbs them, so on a single-core host it
-// charges the asynchronous group-commit work (record encode, the one
-// write syscall per commit, GC of the record buffers) to the same core
-// that issues the deltas. That is the worst case for the durable
-// backend — any deployment with a second core runs the flusher beside
-// the hot path and pays only the in-lock buffer append (~10 ns). The
-// acceptance numbers are recorded by .github/bench.sh into
-// BENCH_PR4.json and discussed in docs/OPERATIONS.md.
+// ns/op here is the single-writer saturation cost: one goroutine
+// issues real moves as fast as the store absorbs them, so no two
+// mutations ever share a group commit and every delta pays its own
+// commit (record encode plus one write syscall). That is the worst
+// case for the durable backend; concurrent writers share commits, and
+// batched ingest commits a whole frame at once. The numbers are
+// recorded by .github/bench.sh into BENCH_PR4.json and discussed in
+// docs/OPERATIONS.md.
 func BenchmarkLocdbDelta(b *testing.B) {
 	const devices = 1024
 	const rooms = 32
@@ -64,41 +62,6 @@ func BenchmarkLocdbDelta(b *testing.B) {
 		}
 		run(b, d)
 		d.crash() // skip the final checkpoint; the tempdir is discarded
-	})
-
-	// journal isolates the foreground cost durability adds to the delta
-	// hot path — the Record hook that runs inside the shard lock (one
-	// closed-flag load plus one record append). The group commits happen
-	// outside the timer, so this is exactly the latency a delta caller
-	// blocks on beyond the mem path; the acceptance claim is
-	// journal ns/op <= 20% of mem ns/op.
-	b.Run("journal", func(b *testing.B) {
-		d, err := Open(Options{
-			Dir:              b.TempDir(),
-			Shards:           locdb.DefaultShards,
-			HistoryLimit:     locdb.DefaultHistoryLimit,
-			SnapshotInterval: -1,
-			FlushInterval:    time.Hour, // commits only at the manual drain points
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		const drainEvery = 1 << 16
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dev := baseband.BDAddr(0xB000_0000_0001 + uint64(i*2654435761)%devices)
-			d.Record(i&(locdb.DefaultShards-1), locdb.JournalPresence,
-				dev, graph.NodeID((i+i/devices)%rooms), sim.Tick(i+1))
-			if i&(drainEvery-1) == drainEvery-1 {
-				b.StopTimer()
-				if err := d.flush(false); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		}
-		b.StopTimer()
-		d.crash()
 	})
 }
 

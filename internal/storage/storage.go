@@ -22,14 +22,22 @@
 // actually changed state (the delta protocol's no-ops never reach the
 // hook) appends one fixed-size record to a per-shard buffer while the
 // mutating goroutine still holds the shard lock. The delta hot path
-// therefore pays one bounds-checked slice append — no extra mutex, no
-// encoding, no syscall. A background flusher drains the shard buffers
-// every FlushInterval, encodes them, and writes one batch with a single
-// write syscall (the group commit). The cost is a bounded durability
-// window: on a crash (SIGKILL, power loss) the records of the last
-// unflushed interval are lost; the recovered state is a consistent,
-// slightly older cut. Sync provides a barrier for callers that need
-// stronger guarantees.
+// therefore pays one bounds-checked slice append inside the lock — no
+// extra mutex, no encoding, no syscall.
+//
+// The commit is demand-driven group commit. Once the mutation has
+// returned from the memory store, the mutating goroutine commits: if no
+// commit is running it drains every shard buffer, encodes the records
+// and writes them with a single write syscall. If one is running it
+// only flags its record and returns; whoever holds the WAL lock commits
+// the flagged records before giving the lock up, so records that arrive
+// while a commit writes join the next one. No record waits for a timer
+// and no background goroutine flushes. The cost is a bounded
+// durability window: a process crash (SIGKILL) loses the records
+// behind the one commit in flight, and a power loss without Fsync also
+// loses what the OS had not yet written back; the recovered state is a
+// consistent, slightly older cut. Sync provides a barrier for callers
+// that need stronger guarantees.
 //
 // Per-device ordering between the memory store and the WAL holds by
 // construction: a device's records are appended to its shard's buffer
@@ -38,7 +46,7 @@
 // interleaving is immaterial — every stored fact is per-device). Replay
 // is additionally idempotent (re-applying a presence the state already
 // reflects is a no-op, in history too), which makes recovery insensitive
-// to the exact flush boundary.
+// to the exact commit boundary.
 package storage
 
 import (
@@ -57,19 +65,9 @@ import (
 	"bips/internal/sim"
 )
 
-// Defaults for Options.
-const (
-	// DefaultFlushInterval is the WAL group-commit interval: the upper
-	// bound on how much recent history a crash can lose. 10 ms matches
-	// the periodic commit-log mode of production stores (for comparison,
-	// Cassandra's commitlog_sync_period default); it amortizes the
-	// write syscall over large batches while keeping the loss window
-	// well under one workstation inquiry cycle.
-	DefaultFlushInterval = 10 * time.Millisecond
-	// DefaultSnapshotInterval bounds recovery time: at most one
-	// interval's worth of WAL is ever replayed on restart.
-	DefaultSnapshotInterval = 30 * time.Second
-)
+// DefaultSnapshotInterval bounds recovery time: at most one interval's
+// worth of WAL is ever replayed on restart.
+const DefaultSnapshotInterval = 30 * time.Second
 
 // Options configures Open.
 type Options struct {
@@ -85,12 +83,10 @@ type Options struct {
 	// DefaultSnapshotInterval, negative disables automatic checkpoints
 	// (Close still writes a final one).
 	SnapshotInterval time.Duration
-	// FlushInterval is the WAL group-commit period; 0 selects
-	// DefaultFlushInterval.
-	FlushInterval time.Duration
-	// Fsync additionally fsyncs every group commit. It shrinks the
-	// crash-loss window from FlushInterval to a single commit at a
-	// large throughput cost; rotation, Sync and Close always fsync.
+	// Fsync additionally fsyncs every group commit, so a power loss
+	// (not only a process crash) loses at most the records behind the
+	// commit in flight, at a large throughput cost; rotation, Sync and
+	// Close always fsync.
 	Fsync bool
 }
 
@@ -110,14 +106,12 @@ func (o *Options) fill() error {
 	if o.SnapshotInterval == 0 {
 		o.SnapshotInterval = DefaultSnapshotInterval
 	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = DefaultFlushInterval
-	}
 	return nil
 }
 
 // Durable is the durable locdb.Store: an in-memory DB whose journal
-// hook writes through (asynchronously, group-committed) to a WAL.
+// hook writes through (group-committed by the mutating goroutines) to a
+// WAL.
 type Durable struct {
 	mem *locdb.DB
 	wal *wal
@@ -130,16 +124,20 @@ type Durable struct {
 	// bufs[i] is shard i's pending-record buffer. It is only ever
 	// touched under shard i's lock: appends come from the journal hook
 	// (mutators hold the lock), drains go through WithShard /
-	// CheckpointShard. spares[i] recycles the previously flushed
+	// CheckpointShard. spares[i] recycles the previously committed
 	// buffer so the steady state allocates nothing.
 	bufs   [][]record
 	spares [][]record
 
-	// walMu serializes every file-side operation (flush, sync,
-	// checkpoint, close) so a drained batch can never cross a segment
-	// rotation — the invariant that keeps snapshots and segments
-	// non-overlapping. Lock order: walMu before shard locks.
+	// walMu serializes every file-side operation (commit, sync,
+	// checkpoint, stats, close) so a drained batch can never cross a
+	// segment rotation — the invariant that keeps snapshots and
+	// segments non-overlapping. Lock order: walMu before shard locks.
+	// Every holder releases it through unlockWAL.
 	walMu sync.Mutex
+	// pending flags records journaled since the last drain whose
+	// mutator found walMu held; the holder commits them (unlockWAL).
+	pending atomic.Bool
 
 	// snapMu serializes checkpoints (periodic loop, Snapshot, Close).
 	snapMu sync.Mutex
@@ -253,8 +251,7 @@ func Open(opts Options) (*Durable, error) {
 	// itself is never re-journaled.
 	mem.SetJournal(d)
 
-	d.bgDone.Add(2)
-	go d.flushLoop(opts.FlushInterval)
+	d.bgDone.Add(1)
 	go d.snapshotLoop(opts.SnapshotInterval)
 	return d, nil
 }
@@ -283,30 +280,47 @@ func (d *Durable) Record(shard int, op locdb.JournalOp, dev baseband.BDAddr, pic
 	d.bufs[shard] = append(d.bufs[shard], record{op: walOp, dev: dev, room: piconet, at: at})
 }
 
-// flushLoop is the group-commit pump.
-func (d *Durable) flushLoop(interval time.Duration) {
-	defer d.bgDone.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
+// commit is the demand-driven group commit, run by a mutating goroutine
+// once its change is journaled. It flags the record and, if no commit is
+// running, commits it together with everything else pending; if one is
+// running, the flag hands the record to that commit's holder.
+func (d *Durable) commit() {
+	d.pending.Store(true)
+	if d.walMu.TryLock() {
+		d.unlockWAL()
+	}
+}
+
+// unlockWAL releases walMu, first committing every flagged record. A
+// mutator that flags between that commit and the Unlock fails its
+// TryLock, so after the Unlock the flag is checked again and the lock
+// retaken for it; if the TryLock here fails too, the goroutine that now
+// holds walMu will see the flag on its own release. No record is left
+// pending without a holder that will commit it. After Close or a crash
+// the flag is ignored: the final checkpoint drained everything, or the
+// simulated crash discarded it.
+func (d *Durable) unlockWAL() {
 	for {
-		select {
-		case <-ticker.C:
-			_ = d.flush(false)
-		case <-d.stopBg:
+		if d.pending.Load() && !d.closed.Load() {
+			_ = d.commitLocked(false)
+		}
+		d.walMu.Unlock()
+		if !d.pending.Load() || d.closed.Load() || !d.walMu.TryLock() {
 			return
 		}
 	}
 }
 
-// flush drains every shard's pending records and writes them to the
-// open segment as one group commit; sync additionally fsyncs. A write
-// failure is sticky in the WAL: the store keeps serving from memory,
-// but records drained after the failure are lost — the failure is
-// logged once and reported in StorageStats (wal_failed) so operators
-// see a store that is no longer durable.
-func (d *Durable) flush(sync bool) error {
-	d.walMu.Lock()
-	defer d.walMu.Unlock()
+// commitLocked drains every shard's pending records and writes them to
+// the open segment as one group commit; sync additionally fsyncs. The
+// flag is cleared before the drain, so a record journaled after its
+// shard was drained keeps it set for the next commit. A write failure is
+// sticky in the WAL: the store keeps serving from memory, but records
+// drained after the failure are lost — the failure is logged once and
+// reported in StorageStats (wal_failed) so operators see a store that is
+// no longer durable. Caller holds walMu.
+func (d *Durable) commitLocked(sync bool) error {
+	d.pending.Store(false)
 	batches, owners := d.drainLocked(nil)
 	if len(batches) == 0 && !sync {
 		return nil
@@ -392,23 +406,45 @@ func (d *Durable) snapshotLoop(interval time.Duration) {
 
 // --- Store interface (mutations journal through the hook) -----------------
 
-// SetPresence applies the delta; the journal hook makes it durable.
+// SetPresence applies the delta; the journal hook records it and the
+// group commit makes it durable.
 func (d *Durable) SetPresence(dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) bool {
-	return d.mem.SetPresence(dev, piconet, at)
+	if !d.mem.SetPresence(dev, piconet, at) {
+		return false
+	}
+	d.commit()
+	return true
 }
 
-// SetAbsence applies the delta; the journal hook makes it durable.
+// SetAbsence applies the delta; the journal hook records it and the
+// group commit makes it durable.
 func (d *Durable) SetAbsence(dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) bool {
-	return d.mem.SetAbsence(dev, piconet, at)
+	if !d.mem.SetAbsence(dev, piconet, at) {
+		return false
+	}
+	d.commit()
+	return true
 }
 
 // Drop erases the device in memory and on disk.
-func (d *Durable) Drop(dev baseband.BDAddr) bool { return d.mem.Drop(dev) }
+func (d *Durable) Drop(dev baseband.BDAddr) bool {
+	if !d.mem.Drop(dev) {
+		return false
+	}
+	d.commit()
+	return true
+}
 
 // ApplyBatch applies the batch; the journal hook records every changed
-// mutation inside its shard's critical section, so the next group
-// commit persists the whole batch as one coalesced write.
-func (d *Durable) ApplyBatch(muts []locdb.Mutation) int { return d.mem.ApplyBatch(muts) }
+// mutation inside its shard's critical section, so one group commit
+// persists the whole batch as one coalesced write.
+func (d *Durable) ApplyBatch(muts []locdb.Mutation) int {
+	n := d.mem.ApplyBatch(muts)
+	if n > 0 {
+		d.commit()
+	}
+	return n
+}
 
 // Locate returns the device's current fix.
 func (d *Durable) Locate(dev baseband.BDAddr) (locdb.Fix, error) { return d.mem.Locate(dev) }
@@ -466,8 +502,12 @@ func (d *Durable) SubscribeSink(s locdb.Sink) (cancel func()) { return d.mem.Sub
 // --- Durability operations ------------------------------------------------
 
 // Sync is the durability barrier: every mutation that returned before
-// the call is on disk (flushed and fsynced) when it returns.
-func (d *Durable) Sync() error { return d.flush(true) }
+// the call is on disk (written and fsynced) when it returns.
+func (d *Durable) Sync() error {
+	d.walMu.Lock()
+	defer d.unlockWAL()
+	return d.commitLocked(true)
+}
 
 // Snapshot takes a checkpoint now. Shard by shard, the pending records
 // are drained and the state is dumped in one critical section; the
@@ -488,6 +528,7 @@ func (d *Durable) Snapshot() error {
 func (d *Durable) checkpoint() error {
 	var dumps []locdb.DeviceDump
 	d.walMu.Lock()
+	d.pending.Store(false) // the drain below commits every flagged record
 	batches, owners := d.drainLocked(&dumps)
 	// written tracks the write alone: records that reached the fsynced
 	// segment are durable (recoverable by replay) even if the rotation
@@ -498,7 +539,7 @@ func (d *Durable) checkpoint() error {
 	if err == nil {
 		coveredSeq, err = d.wal.rotate()
 	}
-	d.walMu.Unlock()
+	d.unlockWAL()
 	d.recycle(batches, owners, werr == nil)
 	if err != nil {
 		d.logFailureOnce(err)
@@ -532,10 +573,12 @@ func (d *Durable) StorageStats() map[string]int64 {
 	if d.wal.err != nil {
 		failed = 1
 	}
-	d.walMu.Unlock()
+	commits := d.wal.commits
+	d.unlockWAL()
 	return map[string]int64{
 		"wal_records":      records,
 		"wal_bytes":        records * recSize,
+		"wal_commits":      commits,
 		"wal_failed":       failed,
 		"wal_lost_records": d.lostRecs.Load(),
 		"snapshots":        d.snapshots.Load(),
@@ -550,8 +593,8 @@ func (d *Durable) StorageStats() map[string]int64 {
 // Mutations arriving during Close reach the memory store but are no
 // longer made durable; stop the serving layer first.
 //
-// Shutdown ordering matters: the closed flag flips and the background
-// goroutines are joined BEFORE snapMu is taken. Taking snapMu first
+// Shutdown ordering matters: the closed flag flips and the snapshot
+// loop is joined BEFORE snapMu is taken. Taking snapMu first
 // would deadlock with a snapshotLoop tick blocked inside Snapshot()
 // waiting for that same mutex; with the flag already set, such an
 // in-flight Snapshot acquires snapMu, sees closed, and returns.
@@ -570,12 +613,12 @@ func (d *Durable) Close() error {
 	if cerr := d.wal.close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	d.walMu.Unlock()
+	d.unlockWAL()
 	d.unlock()
 	return err
 }
 
-// crash simulates SIGKILL for tests: background goroutines stop, the
+// crash simulates SIGKILL for tests: the snapshot loop stops, the
 // pending shard buffers are lost, file handles close, and no final
 // checkpoint is written. The next Open must recover from whatever
 // already reached disk. It uses the same join-before-snapMu ordering
@@ -590,7 +633,7 @@ func (d *Durable) crash() {
 	defer d.snapMu.Unlock()
 	d.walMu.Lock()
 	d.wal.crash()
-	d.walMu.Unlock()
+	d.unlockWAL()
 	// A real SIGKILL drops the flock with the process; the in-process
 	// simulation must drop it explicitly so tests can reopen the dir.
 	d.unlock()

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +24,6 @@ func testOpts(dir string) Options {
 		Shards:           4,
 		HistoryLimit:     8,
 		SnapshotInterval: -1,
-		FlushInterval:    time.Millisecond,
 	}
 }
 
@@ -194,18 +195,63 @@ func TestTornTailTolerated(t *testing.T) {
 	}
 }
 
-// TestUnflushedWritesLost documents the group-commit contract: what was
-// never flushed is gone after a crash, and what Sync confirmed is not.
-func TestUnflushedWritesLost(t *testing.T) {
+// TestMutationDurableWithoutSync: every mutation commits on its own
+// goroutine before it returns, so a crash directly after it, with no
+// Sync, still recovers it.
+func TestMutationDurableWithoutSync(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(d *Durable) bool
+	}{
+		{"SetPresence", func(d *Durable) bool { return d.SetPresence(2, 3, 20) }},
+		{"SetAbsence", func(d *Durable) bool { return d.SetAbsence(1, 1, 20) }},
+		{"Drop", func(d *Durable) bool { return d.Drop(1) }},
+		{"ApplyBatch", func(d *Durable) bool {
+			return d.ApplyBatch([]locdb.Mutation{
+				{Op: locdb.MutPresence, Dev: 1, Piconet: 4, At: 20},
+				{Op: locdb.MutPresence, Dev: 2, Piconet: 5, At: 21},
+			}) == 2
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := mustOpen(t, testOpts(dir))
+			d.SetPresence(1, 1, 10)
+			if !tc.mutate(d) {
+				t.Fatal("mutation changed no state")
+			}
+			want := d.Dump()
+			d.crash()
+
+			re := mustOpen(t, testOpts(dir))
+			defer re.Close()
+			if got := re.Dump(); !reflect.DeepEqual(want, got) {
+				t.Fatalf("unsynced %s lost on crash:\n want %+v\n  got %+v", tc.name, want, got)
+			}
+		})
+	}
+}
+
+// TestCrashLosesOnlyTheCommitInFlight: what Sync confirmed survives a
+// crash, and the loss window still exists — a mutation made while a
+// commit is in flight is handed to that commit's holder, and is lost if
+// the process dies before the holder writes it.
+func TestCrashLosesOnlyTheCommitInFlight(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOpts(dir)
-	opts.FlushInterval = time.Hour // flusher never fires on its own
-	d := mustOpen(t, opts)
+	d := mustOpen(t, testOpts(dir))
 	d.SetPresence(1, 1, 10)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	d.SetPresence(2, 2, 20) // never synced
+	d.walMu.Lock() // a commit in flight
+	d.SetPresence(2, 2, 20)
+	if !d.pending.Load() {
+		t.Fatal("mutation behind a held commit was not flagged for its holder")
+	}
+	// The process dies before the holder commits the flagged record.
+	d.wal.crash()
+	d.walMu.Unlock()
 	d.crash()
 
 	re := mustOpen(t, testOpts(dir))
@@ -214,8 +260,146 @@ func TestUnflushedWritesLost(t *testing.T) {
 		t.Fatal("synced write lost")
 	}
 	if _, err := re.Locate(2); err == nil {
-		t.Fatal("unsynced write survived a crash — flusher contract broken?")
+		t.Fatal("a write behind the commit in flight survived the crash")
 	}
+}
+
+// TestWALCommitsCountWrites: wal_commits counts write syscalls. A lone
+// writer commits each mutation by itself; mutations that arrive while a
+// commit is in flight share the next one.
+func TestWALCommitsCountWrites(t *testing.T) {
+	d := mustOpen(t, testOpts(t.TempDir()))
+	defer d.Close()
+	commits := func() int64 { return d.StorageStats()["wal_commits"] }
+
+	const n = 10
+	for i := 0; i < n; i++ {
+		d.SetPresence(1, graph.NodeID(i), sim.Tick(i))
+	}
+	d.SetPresence(1, n-1, n) // a no-op: nothing journaled, nothing written
+	if got := commits(); got != n {
+		t.Fatalf("%d sequential mutations made %d commits, want %d", n, got, n)
+	}
+
+	const writers, each = 8, 25
+	d.walMu.Lock() // a commit in flight while the burst arrives
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				d.SetPresence(baseband.BDAddr(0x100+w), graph.NodeID(i), sim.Tick(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	d.unlockWAL()
+	st := d.StorageStats()
+	if got := st["wal_commits"] - n; got >= writers*each {
+		t.Fatalf("a burst of %d mutations made %d commits, want fewer", writers*each, got)
+	}
+	if got := st["wal_records"]; got != n+writers*each {
+		t.Fatalf("wal_records = %d, want %d", got, n+writers*each)
+	}
+}
+
+// TestNoRecordStrandedUnderContention: writers commit while checkpoints,
+// syncs and stats calls hold the WAL lock against them; every record a
+// writer handed to a holder must reach the WAL without a final Sync.
+// The checkpoint and sync callers stop halfway, because their drains
+// would rescue a stranded record; the stats callers keep contending to
+// the end, so a record flagged while one of them (or another writer)
+// holds the lock is stranded unless the holder commits it.
+func TestNoRecordStrandedUnderContention(t *testing.T) {
+	for _, fsync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fsync=%v", fsync), func(t *testing.T) {
+			batches := 200
+			if fsync {
+				batches = 40
+			}
+			for round := 0; round < 20; round++ {
+				dir := t.TempDir()
+				opts := testOpts(dir)
+				opts.Fsync = fsync
+				d := mustOpen(t, opts)
+				strandedRound(t, d, batches)
+				want := d.Dump()
+				d.crash()
+
+				re := mustOpen(t, testOpts(dir))
+				got := re.Dump()
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("round %d: records stranded without a commit:\n want %+v\n  got %+v", round, want, got)
+				}
+			}
+		})
+	}
+}
+
+// strandedRound runs one contention round of
+// TestNoRecordStrandedUnderContention and returns once every writer
+// and caller has.
+func strandedRound(t *testing.T, d *Durable, batches int) {
+	const writers = 8
+	var (
+		half, last, writing, callers sync.WaitGroup
+		stopDrains, stopStats        atomic.Bool
+	)
+	call := func(stop *atomic.Bool, fn func() error) {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			for !stop.Load() {
+				if err := fn(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	call(&stopDrains, d.Snapshot)
+	call(&stopDrains, d.Sync)
+	for i := 0; i < 2; i++ {
+		call(&stopStats, func() error { d.StorageStats(); return nil })
+	}
+	half.Add(writers)
+	last.Add(writers)
+	writing.Add(writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			defer writing.Done()
+			muts := make([]locdb.Mutation, 8)
+			for i := 0; i < batches; i++ {
+				switch i {
+				case batches / 2:
+					half.Done()
+				case batches - 1:
+					// The writers' last batches land together: no later
+					// commit can rescue a record one of them strands.
+					last.Done()
+					last.Wait()
+				}
+				for k := range muts {
+					muts[k] = locdb.Mutation{
+						Op:      locdb.MutPresence,
+						Dev:     baseband.BDAddr(0xE000 + uint64(w+i*8+k)%97), // shared across writers
+						Piconet: graph.NodeID((w + i + k) % 9),
+						At:      sim.Tick(i),
+					}
+				}
+				d.ApplyBatch(muts)
+			}
+		}(w)
+	}
+	half.Wait()
+	stopDrains.Store(true)
+	writing.Wait()
+	stopStats.Store(true)
+	callers.Wait()
 }
 
 // TestConcurrentLoadCrashRecovery: many goroutines hammer the store

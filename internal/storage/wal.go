@@ -166,6 +166,8 @@ type wal struct {
 	seq    uint64
 	err    error // sticky write failure
 	closed bool
+	// commits counts group commits written: one per write syscall.
+	commits int64
 	// scratch holds one group commit's encoded records so a commit
 	// costs a single write syscall; reused across commits.
 	scratch []byte
@@ -197,8 +199,8 @@ func (w *wal) openSegment(seq uint64) error {
 
 // writeRecords encodes the drained shard batches and appends them to
 // the segment as one group commit (a single write syscall). sync forces
-// an fsync on top — the durability barrier; the periodic flusher passes
-// the configured policy.
+// an fsync on top — the durability barrier; the demand-driven commit
+// passes false and the configured policy decides.
 func (w *wal) writeRecords(batches [][]record, sync bool) error {
 	if w.err != nil {
 		return w.err
@@ -228,6 +230,7 @@ func (w *wal) writeRecords(batches [][]record, sync bool) error {
 			w.err = fmt.Errorf("storage: wal write: %w", err)
 			return w.err
 		}
+		w.commits++
 	}
 	if sync || w.fsync {
 		if err := w.f.Sync(); err != nil {
